@@ -489,7 +489,6 @@ impl<'a> BatchPreparer<'a> {
         negs_per_event: usize,
     ) -> StaticBatch {
         let events = &self.dataset.graph.events()[range];
-        let b = events.len();
         let srcs: Vec<u32> = events.iter().map(|e| e.src).collect();
         let dsts: Vec<u32> = events.iter().map(|e| e.dst).collect();
         let times: Vec<f32> = events.iter().map(|e| e.t).collect();
@@ -505,25 +504,10 @@ impl<'a> BatchPreparer<'a> {
         let pos_hops = self.sampler.sample_hops(self.adj, &pos_roots, &pos_times);
 
         // Negative roots per set.
-        let mut negs = Vec::with_capacity(neg_sets.len());
-        for set in neg_sets {
-            assert_eq!(set.len(), b * negs_per_event, "negative set length");
-            let neg_times: Vec<f32> = times
-                .iter()
-                .flat_map(|&t| std::iter::repeat_n(t, negs_per_event))
-                .collect();
-            let hops = self.sampler.sample_hops(self.adj, set, &neg_times);
-            let uniq = self
-                .dedup
-                .then(|| ReadoutIndex::build(&occurrence_nodes(set, &hops)));
-            negs.push(StaticNegative {
-                nbr_feats: hops.iter().map(|h| self.edge_rows(&h.eids)).collect(),
-                set: set.to_vec(),
-                times: neg_times,
-                hops,
-                uniq,
-            });
-        }
+        let negs: Vec<StaticNegative> = neg_sets
+            .iter()
+            .map(|set| self.static_negative(set, &times, negs_per_event))
+            .collect();
 
         // Unique-node index of the positive part over its occurrence
         // list `roots ++ hop slots` — the union of every hop frontier,
@@ -546,10 +530,7 @@ impl<'a> BatchPreparer<'a> {
             None => all_nodes.extend(occurrence_nodes(&pos_roots, &pos_hops)),
         }
         for n in &negs {
-            match &n.uniq {
-                Some(u) => all_nodes.extend_from_slice(&u.unique_nodes),
-                None => all_nodes.extend(occurrence_nodes(&n.set, &n.hops)),
-            }
+            n.read_nodes_into(&mut all_nodes);
         }
 
         let labels = self.dataset.labels.as_ref().map(|l| {
@@ -638,21 +619,64 @@ impl<'a> BatchPreparer<'a> {
 
         let mut negs = Vec::with_capacity(sb.negs.len());
         for n in sb.negs {
-            let rows = match &n.uniq {
-                Some(u) => take(u.num_unique()),
-                None => take(occurrence_rows(n.set.len(), &n.hops)),
-            };
-            negs.push(NegativePart {
-                nbr_feats: n.nbr_feats,
-                negs: n.set,
-                times: n.times,
-                hops: n.hops,
-                readout: ReadoutView::new(Arc::clone(&full), rows),
-                uniq: n.uniq,
-            });
+            let rows = take(n.read_rows());
+            negs.push(n.into_part(ReadoutView::new(Arc::clone(&full), rows)));
         }
         debug_assert_eq!(cursor, sb.all_nodes.len());
         PreparedBatch { pos, negs }
+    }
+
+    /// Phase 1 of one negative set: `set` holds `negs_per_event`
+    /// destinations per entry of `event_times`, each queried at its
+    /// event's time. Samples the set's multi-hop frontier, gathers the
+    /// slots' edge features and, when deduplicating, indexes the
+    /// set's unique nodes.
+    fn static_negative(
+        &self,
+        set: &[u32],
+        event_times: &[f32],
+        negs_per_event: usize,
+    ) -> StaticNegative {
+        assert_eq!(
+            set.len(),
+            event_times.len() * negs_per_event,
+            "negative set length"
+        );
+        let times: Vec<f32> = event_times
+            .iter()
+            .flat_map(|&t| std::iter::repeat_n(t, negs_per_event))
+            .collect();
+        let hops = self.sampler.sample_hops(self.adj, set, &times);
+        let uniq = self
+            .dedup
+            .then(|| ReadoutIndex::build(&occurrence_nodes(set, &hops)));
+        StaticNegative {
+            nbr_feats: hops.iter().map(|h| self.edge_rows(&h.eids)).collect(),
+            set: set.to_vec(),
+            times,
+            hops,
+            uniq,
+        }
+    }
+
+    /// One negative set prepared on its own: phase 1 of the set (the
+    /// same per-set step [`BatchPreparer::prepare_static`] runs),
+    /// then a private read of its rows from `mem`. The read borrows
+    /// memory shared, so the chunks of one batch's negatives can be
+    /// prepared concurrently; each chunk's rows equal its rows in the
+    /// batch's one serialized read, because nothing writes memory
+    /// between them.
+    pub(crate) fn prepare_negative(
+        &self,
+        set: &[u32],
+        event_times: &[f32],
+        negs_per_event: usize,
+        mem: &MemoryState,
+    ) -> NegativePart {
+        let n = self.static_negative(set, event_times, negs_per_event);
+        let mut nodes = Vec::with_capacity(n.read_rows());
+        n.read_nodes_into(&mut nodes);
+        n.into_part(ReadoutView::whole(mem.read(&nodes)))
     }
 
     /// Prepares events `range` with the given negative sets
@@ -681,6 +705,38 @@ struct StaticNegative {
     hops: Vec<NeighborBlock>,
     nbr_feats: Vec<Matrix>,
     uniq: Option<ReadoutIndex>,
+}
+
+impl StaticNegative {
+    /// Rows this set takes in the serialized read.
+    fn read_rows(&self) -> usize {
+        match &self.uniq {
+            Some(u) => u.num_unique(),
+            None => occurrence_rows(self.set.len(), &self.hops),
+        }
+    }
+
+    /// Appends the node of each of this set's read rows, in gather
+    /// order: its unique nodes when deduplicating, else its roots then
+    /// hop slots.
+    fn read_nodes_into(&self, out: &mut Vec<u32>) {
+        match &self.uniq {
+            Some(u) => out.extend_from_slice(&u.unique_nodes),
+            None => out.extend(occurrence_nodes(&self.set, &self.hops)),
+        }
+    }
+
+    /// Completes the set with its memory rows.
+    fn into_part(self, readout: ReadoutView) -> NegativePart {
+        NegativePart {
+            nbr_feats: self.nbr_feats,
+            negs: self.set,
+            times: self.times,
+            hops: self.hops,
+            readout,
+            uniq: self.uniq,
+        }
+    }
 }
 
 /// Output of [`BatchPreparer::prepare_static`]: a batch minus its

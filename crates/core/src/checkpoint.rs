@@ -53,7 +53,7 @@ use crate::config::{ModelConfig, TrainConfig};
 use crate::metrics::ConvergencePoint;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use disttgl_data::persist::{
-    get_f32s, get_matrix, get_u64s, put_f32s, put_matrix, put_u64s, truncated,
+    byte_len, get_f32s, get_matrix, get_u64s, put_f32s, put_matrix, put_u64s, truncated,
 };
 use disttgl_graph::TCsrEntry;
 use disttgl_mem::MemoryState;
@@ -453,7 +453,7 @@ impl ServeCheckpoint {
         let mut adj = Vec::with_capacity(n_nodes);
         for node in 0..n_nodes {
             let len = get_u64(&mut buf, "adjacency slice length")? as usize;
-            if buf.remaining() < len * 12 {
+            if buf.remaining() < byte_len(len, 12, "adjacency slice")? {
                 return Err(truncated(&format!("adjacency slice of node {node}")).into());
             }
             let mut slice = Vec::with_capacity(len);
@@ -750,6 +750,26 @@ mod tests {
         empty.save(&path).unwrap();
         let back = ServeCheckpoint::load(&path).unwrap();
         assert_eq!(back.stream_head, f32::NEG_INFINITY);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A crafted adjacency-slice length whose byte size wraps `usize`
+    /// is refused with a typed error instead of panicking the
+    /// allocation.
+    #[test]
+    fn overflowing_adjacency_length_is_refused() {
+        let dir = tmpdir("adj_overflow");
+        let path = dir.join("serve.bin");
+        let mut payload = BytesMut::new();
+        put_string(&mut payload, "model");
+        put_memory(&mut payload, &sample_memory(0));
+        payload.put_u64_le(6);
+        payload.put_u64_le(1 << 62);
+        std::fs::write(&path, frame(KIND_SERVE, &payload)).unwrap();
+        assert!(matches!(
+            ServeCheckpoint::load(&path),
+            Err(CheckpointError::Io(e)) if e.kind() == io::ErrorKind::InvalidData
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -254,12 +254,8 @@ impl InferenceEngine {
                 let pos_logits = pred.infer(&model.params, &src_emb, &dst_emb);
                 let src_rep = TgnModel::repeat_rows_for(&src_emb, kneg);
                 let neg_logits = pred.infer(&model.params, &src_rep, &neg_emb);
-                let ones = Matrix::full(b, 1, 1.0);
-                let zeros = Matrix::zeros(neg_logits.rows(), 1);
-                let (lp, _) = loss::bce_with_logits(&pos_logits, &ones);
-                let (ln, _) = loss::bce_with_logits(&neg_logits, &zeros);
                 StepOutput {
-                    loss: 0.5 * (lp + ln),
+                    loss: link_loss(&pos_logits, &neg_logits),
                     pos_scores: pos_logits.into_vec(),
                     neg_scores: neg_logits.into_vec(),
                     write,
@@ -291,6 +287,17 @@ impl InferenceEngine {
             }
         }
     }
+}
+
+/// Gradient-free link-prediction loss of one scored batch: the mean of
+/// the positive logits' BCE against 1 and the negative logits' BCE
+/// against 0 (both `n × 1`).
+pub(crate) fn link_loss(pos_logits: &Matrix, neg_logits: &Matrix) -> f32 {
+    let ones = Matrix::full(pos_logits.rows(), 1, 1.0);
+    let zeros = Matrix::zeros(neg_logits.rows(), 1);
+    let (lp, _) = loss::bce_with_logits(pos_logits, &ones);
+    let (ln, _) = loss::bce_with_logits(neg_logits, &zeros);
+    0.5 * (lp + ln)
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub fn get_matrix(buf: &mut Bytes) -> io::Result<Matrix> {
     let n = rows
         .checked_mul(cols)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "matrix shape overflow"))?;
-    if buf.remaining() < n * 4 {
+    if buf.remaining() < byte_len(n, 4, "matrix body")? {
         return Err(truncated("matrix body"));
     }
     let mut data = Vec::with_capacity(n);
@@ -72,7 +72,7 @@ pub fn put_f32s(buf: &mut BytesMut, vals: &[f32]) {
 /// Reads back a [`put_f32s`] frame.
 pub fn get_f32s(buf: &mut Bytes, what: &str) -> io::Result<Vec<f32>> {
     let n = get_len(buf, what)?;
-    if buf.remaining() < n * 4 {
+    if buf.remaining() < byte_len(n, 4, what)? {
         return Err(truncated(what));
     }
     Ok((0..n).map(|_| buf.get_f32_le()).collect())
@@ -89,7 +89,7 @@ pub fn put_u64s(buf: &mut BytesMut, vals: &[u64]) {
 /// Reads back a [`put_u64s`] frame.
 pub fn get_u64s(buf: &mut Bytes, what: &str) -> io::Result<Vec<u64>> {
     let n = get_len(buf, what)?;
-    if buf.remaining() < n * 8 {
+    if buf.remaining() < byte_len(n, 8, what)? {
         return Err(truncated(what));
     }
     Ok((0..n).map(|_| buf.get_u64_le()).collect())
@@ -106,7 +106,7 @@ pub fn put_u32s(buf: &mut BytesMut, vals: &[u32]) {
 /// Reads back a [`put_u32s`] frame.
 pub fn get_u32s(buf: &mut Bytes, what: &str) -> io::Result<Vec<u32>> {
     let n = get_len(buf, what)?;
-    if buf.remaining() < n * 4 {
+    if buf.remaining() < byte_len(n, 4, what)? {
         return Err(truncated(what));
     }
     Ok((0..n).map(|_| buf.get_u32_le()).collect())
@@ -120,6 +120,19 @@ fn get_len(buf: &mut Bytes, what: &str) -> io::Result<usize> {
     }
     let n = buf.get_u64_le();
     usize::try_from(n).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{what}: length overflow"),
+        )
+    })
+}
+
+/// Byte size of `n` items of `width` bytes each. A crafted length
+/// prefix can make the product wrap to a small number that passes the
+/// truncation guard and then panics the allocation, so the product is
+/// checked and an overflow reported as `InvalidData`.
+pub fn byte_len(n: usize, width: usize, what: &str) -> io::Result<usize> {
+    n.checked_mul(width).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("{what}: length overflow"),
@@ -189,7 +202,7 @@ impl Dataset {
         r.read_to_end(&mut rest)?;
         let mut buf = Bytes::from(rest);
 
-        if buf.remaining() < header.num_events * 16 {
+        if buf.remaining() < byte_len(header.num_events, 16, "event log")? {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "event log"));
         }
         let mut events = Vec::with_capacity(header.num_events);
@@ -313,6 +326,62 @@ mod tests {
             .and_then(|_| get_u32s(&mut cut, "v"))
             .is_err());
         Ok(())
+    }
+
+    /// Asserts that decoding `frame` fails with `InvalidData` (a
+    /// length whose byte size wraps `usize`) rather than panicking.
+    fn assert_overflow<T: std::fmt::Debug>(
+        frame: &[u8],
+        decode: impl FnOnce(&mut Bytes) -> io::Result<T>,
+    ) {
+        let mut b = Bytes::from(frame.to_vec());
+        let err = decode(&mut b).expect_err("overflowing length must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn overflowing_matrix_shape_is_refused() {
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(1 << 62);
+        buf.put_u64_le(1);
+        assert_overflow(&buf, get_matrix);
+    }
+
+    #[test]
+    fn overflowing_f32_length_is_refused() {
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(1 << 62);
+        assert_overflow(&buf, |b| get_f32s(b, "f"));
+    }
+
+    #[test]
+    fn overflowing_u64_length_is_refused() {
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(1 << 61);
+        assert_overflow(&buf, |b| get_u64s(b, "u"));
+    }
+
+    #[test]
+    fn overflowing_u32_length_is_refused() {
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(1 << 62);
+        assert_overflow(&buf, |b| get_u32s(b, "v"));
+    }
+
+    #[test]
+    fn overflowing_event_count_is_refused() {
+        let d = generators::mooc(0.002, 37);
+        let mut buf = Vec::new();
+        d.save(&mut buf).unwrap();
+        let newline = buf.iter().position(|&c| c == b'\n').unwrap();
+        let header = std::str::from_utf8(&buf[..newline]).unwrap();
+        let count = format!("\"num_events\":{}", d.graph.num_events());
+        assert!(header.contains(&count), "{header}");
+        let crafted = header.replace(&count, &format!("\"num_events\":{}", 1u64 << 60));
+        let mut file = crafted.into_bytes();
+        file.extend_from_slice(&buf[newline..]);
+        let err = Dataset::load(&mut file.as_slice()).expect_err("overflowing count");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]
